@@ -36,13 +36,13 @@ for shift in (0, 17, 1000):
     score = float(np.dot(table.rotate(q, 50 + shift), table.rotate(k, 20 + shift)))
     print(f"dot(R_{{50+{shift}}} q, R_{{20+{shift}}} k) = {score:.8f}")
 
-print("\n== rerotate_delta: reposition a cached key without knowing its position ==")
+print("\n== rotate_segment: reposition cached keys without knowing their positions ==")
 key_at_7 = table.rotate(v, 7)
-moved = table.rerotate_delta(key_at_7, -3)          # now "as if" encoded at 4
+moved = table.rotate_segment(key_at_7, -3)          # now "as if" encoded at 4
 direct = table.rotate(v, 4)
 print("max |rerotated - direct| =", float(np.abs(moved - direct).max()))
-print("rerotate_delta(key, 0) is bit-identical:",
-      np.array_equal(table.rerotate_delta(key_at_7, 0), key_at_7))
+print("rotate_segment(key, 0) is bit-identical:",
+      np.array_equal(table.rotate_segment(key_at_7, 0), key_at_7))
 
 print("\n== tables grow lazily; long contexts never wrap around ==")
 small = RotaryTable(head_dim=8, max_pos=16)

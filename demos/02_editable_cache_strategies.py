@@ -33,7 +33,7 @@ pre_cache, _ = model.encode(seq)
 full, t_full = update_full_recompute(model, pre_cache, seq, script)
 pie, t_pie = update_pie(model, pre_cache, seq, script)
 cfe, t_cfe = update_conflict_fast(model, pre_cache, seq, script)
-reused = update_reuse(pre_cache, script)
+reused, _ = update_reuse(model, pre_cache, seq, script)
 
 print("\n== work done by each strategy ==")
 print(f"full recompute : re-encoded {t_full.recomputed_tokens} tokens")

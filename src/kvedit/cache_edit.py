@@ -139,6 +139,8 @@ def update_full_recompute(model: ToyDecoder, pre_cache: KvCache, pre_seq,
     post_seq = apply_edit_tokens(pre_seq, script)
     post = KvCache.empty(c.n_layers, c.n_heads, c.head_dim, capacity=max(len(post_seq), 1))
     post.append_segment(*pre_cache.segment(0, i_first))
+    # a stale row of pre_cache may sit in the retained prefix
+    post.positionally_consistent = pre_cache.positionally_consistent or i_first == 0
     tail = post_seq[i_first:]
     if tail:
         model.extend_cache(post, tail)
@@ -181,7 +183,7 @@ def _splice_update(model: ToyDecoder, pre_cache: KvCache, pre_seq,
             recomputed += len(op.new_tokens)
         cum_delta += op.delta
         cursor = op.end
-    post.positionally_consistent = not stale
+    post.positionally_consistent = pre_cache.positionally_consistent and not stale
     timing = UpdateTiming(update_ms=(time.perf_counter() - t0) * 1e3,
                           recomputed_tokens=recomputed, rotated_keys=rotated)
     return post, timing
@@ -207,16 +209,23 @@ def update_pie(model: ToyDecoder, pre_cache: KvCache, pre_seq, script: EditScrip
     return _splice_update(model, pre_cache, pre_seq, script, reposition=True)
 
 
-def update_reuse(pre_cache: KvCache, script: EditScript) -> KvCache:
+def update_reuse(model: ToyDecoder, pre_cache: KvCache, pre_seq, script: EditScript):
     """Ignore the edit entirely; prediction then conditions on stale context.
 
     Returns a copy so downstream decoding cannot mutate the caller's
     pre-edit cache.
     """
-    return pre_cache.copy()
+    t0 = time.perf_counter()
+    pre_seq = _check_pre(model, pre_cache, pre_seq)
+    script.validate(len(pre_seq))
+    post = pre_cache.copy()
+    return post, UpdateTiming(update_ms=(time.perf_counter() - t0) * 1e3)
 
 
-STRATEGIES = ("full", "conflict_fast", "reuse", "pie")
+# name -> update function; every strategy takes (model, pre_cache, pre_seq, script)
+# and returns (cache, UpdateTiming)
+STRATEGIES = {"full": update_full_recompute, "conflict_fast": update_conflict_fast,
+              "reuse": update_reuse, "pie": update_pie}
 
 
 # -- edit-script files ----------------------------------------------------------

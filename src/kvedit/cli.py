@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+from .cache_edit import STRATEGIES
 from .errors import ConfigError, KveditError
 from .harness import (BenchConfig, run_bench, run_diagnose, run_simulate, write_report)
 from .model import ModelConfig
@@ -34,7 +35,7 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", help="JSON file with bench config fields")
         p.add_argument("--strategy", action="append",
-                       help="strategy to run (repeatable): full, conflict_fast, reuse, pie")
+                       help=f"strategy to run (repeatable): {', '.join(STRATEGIES)}")
         p.add_argument("--context-len", action="append", type=int,
                        help="context length in tokens (repeatable)")
         p.add_argument("--trials", type=int)
@@ -84,9 +85,9 @@ def _bench_config(args) -> BenchConfig:
     scen_raw = dict(raw.get("scenario", {}))
     if args.kind:
         scen_raw["kind"] = args.kind
-    if args.lines_per_edit:
+    if args.lines_per_edit is not None:
         scen_raw["lines_per_edit"] = args.lines_per_edit
-    if args.num_sites:
+    if args.num_sites is not None:
         scen_raw["num_sites"] = args.num_sites
     scenario = _make(ScenarioConfig, scen_raw, "scenario config")
     return _make(BenchConfig, dict(
@@ -98,7 +99,8 @@ def _bench_config(args) -> BenchConfig:
         trials=args.trials if args.trials is not None else raw.get("trials", 3),
         n_generate=(args.n_generate if args.n_generate is not None
                     else raw.get("n_generate", 64)),
-        comment_prefix=args.comment_prefix or raw.get("comment_prefix", "#"),
+        comment_prefix=(args.comment_prefix if args.comment_prefix is not None
+                        else raw.get("comment_prefix", "#")),
         seed=args.seed if args.seed is not None else raw.get("seed", 0),
     ), "bench config")
 

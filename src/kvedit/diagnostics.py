@@ -12,9 +12,6 @@ order; the reports in the harness use the reference-first default.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ArgumentError, DiagnosticsError
@@ -108,52 +105,3 @@ def first_non_comment_line(text: str, comment_prefix: str = "#") -> str:
         if stripped and not stripped.startswith(comment_prefix):
             return line
     return ""
-
-
-@dataclass
-class DiagnosticsReport:
-    """One strategy-vs-reference comparison, plot-ready.
-
-    per_layer_cosine is None when the caches are not comparable (the reuse
-    baseline keeps the pre-edit length).
-    """
-    strategy: str
-    per_layer_cosine: list[float] | None = None
-    per_step_kl: list[float] = field(default_factory=list)
-    em: int = 0
-    es: float = 0.0
-    timing: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.per_layer_cosine is not None:
-            bad = [c for c in self.per_layer_cosine if not -1.0 - 1e-9 <= c <= 1.0 + 1e-9]
-            if bad:
-                raise DiagnosticsError(f"cosine out of [-1, 1]: {bad[0]}")
-        if any(k < -1e-12 for k in self.per_step_kl):
-            raise DiagnosticsError("negative KL in report")
-        if not 0.0 <= self.es <= 100.0:
-            raise DiagnosticsError(f"es out of [0, 100]: {self.es}")
-
-    def to_json_dict(self) -> dict:
-        return {"strategy": self.strategy,
-                "per_layer_cosine": self.per_layer_cosine,
-                "per_step_kl": list(self.per_step_kl),
-                "em": self.em, "es": self.es, "timing": dict(self.timing)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    def csv_rows(self) -> list[dict]:
-        """Flatten per-layer / per-step arrays into (series, index, value) rows."""
-        rows = []
-        for l, c in enumerate(self.per_layer_cosine or []):
-            rows.append({"strategy": self.strategy, "series": "cosine_by_layer",
-                         "index": l, "value": c})
-        for s, k in enumerate(self.per_step_kl):
-            rows.append({"strategy": self.strategy, "series": "kl_by_step",
-                         "index": s, "value": k})
-        rows.append({"strategy": self.strategy, "series": "em", "index": 0,
-                     "value": self.em})
-        rows.append({"strategy": self.strategy, "series": "es", "index": 0,
-                     "value": self.es})
-        return rows

@@ -17,18 +17,15 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cache_edit import (EditScript, apply_edit_tokens, load_script_jsonl, STRATEGIES,
-                         update_conflict_fast, update_full_recompute, update_pie,
-                         update_reuse, UpdateTiming)
+from .cache_edit import (EditScript, STRATEGIES, apply_edit_tokens, load_script_jsonl,
+                         update_full_recompute)
 from .diagnostics import (edit_similarity, exact_match, first_non_comment_line,
                           key_cosine_by_layer, kl_divergence)
 from .errors import ConfigError
-from .kv_cache import KvCache
 from .model import ModelConfig, ToyDecoder, init_model
 from .scenarios import (ByteTokenizer, DEFAULT_CORPUS, ScenarioConfig, gen_scenario,
                         tile_document)
@@ -60,7 +57,9 @@ class BenchConfig:
             raise ConfigError("context_lens must be non-empty")
         bad = [s for s in self.strategies if s not in STRATEGIES]
         if bad:
-            raise ConfigError(f"unknown strategy {bad[0]!r}; expected one of {STRATEGIES}")
+            raise ConfigError(f"unknown strategy {bad[0]!r}; expected one of {tuple(STRATEGIES)}")
+        if not self.comment_prefix:
+            raise ConfigError("comment_prefix must be non-empty")
 
 
 def suffix_span(script: EditScript, post_len: int) -> tuple[int, int] | None:
@@ -75,22 +74,6 @@ def suffix_span(script: EditScript, post_len: int) -> tuple[int, int] | None:
     last = script.ops[-1]
     start = last.start + cum + len(last.new_tokens)
     return (start, post_len) if start < post_len else None
-
-
-def run_update(strategy: str, model: ToyDecoder, pre_cache: KvCache, pre_seq,
-               script: EditScript):
-    """Dispatch one cache update; reuse is timed here since it returns no timing."""
-    if strategy == "full":
-        return update_full_recompute(model, pre_cache, pre_seq, script)
-    if strategy == "conflict_fast":
-        return update_conflict_fast(model, pre_cache, pre_seq, script)
-    if strategy == "pie":
-        return update_pie(model, pre_cache, pre_seq, script)
-    if strategy == "reuse":
-        t0 = time.perf_counter()
-        cache = update_reuse(pre_cache, script)
-        return cache, UpdateTiming(update_ms=(time.perf_counter() - t0) * 1e3)
-    raise ConfigError(f"unknown strategy {strategy!r}")
 
 
 class _Trial:
@@ -117,8 +100,8 @@ class _Trial:
 
     def score(self, strategy: str) -> dict:
         """Update with `strategy`, generate, and compare to the reference."""
-        cache, timing = run_update(strategy, self._model, self.pre_cache,
-                                   self.original, self.script)
+        cache, timing = STRATEGIES[strategy](self._model, self.pre_cache,
+                                             self.original, self.script)
         entry = self.original[-1] if strategy == "reuse" else self.edited[-1]
         cosine = None
         if cache.logical_len == self.ref_cache.logical_len:
@@ -141,18 +124,11 @@ def _mean_std_median(values: list[float]) -> dict:
             "values": list(values)}
 
 
-def _aggregate_cell(strategy: str, context_len: int, rows: list[dict],
-                    full_arrays: bool) -> dict:
+def _aggregate_cell(strategy: str, context_len: int, rows: list[dict]) -> dict:
     cosines = [r["cosine_by_layer"] for r in rows]
-    cos_agg = (np.mean([c for c in cosines if c is not None], axis=0).tolist()
-               if all(c is not None for c in cosines) else None)
     kl_steps = np.mean([r["kl_by_step"] for r in rows], axis=0).tolist()
-    cell = {"strategy": strategy, "context_len": context_len, "trials": len(rows)}
-    if full_arrays:
-        cell["cosine_by_layer"] = cos_agg
-        cell["kl_by_step"] = kl_steps
-        return cell
-    cell.update({
+    return {
+        "strategy": strategy, "context_len": context_len, "trials": len(rows),
         "update_ms": _mean_std_median([r["timing"]["update_ms"] for r in rows]),
         "recomputed_tokens_mean": statistics.fmean(
             r["timing"]["recomputed_tokens"] for r in rows),
@@ -161,12 +137,13 @@ def _aggregate_cell(strategy: str, context_len: int, rows: list[dict],
         "em_vs_full_pct": 100.0 * statistics.fmean(r["em"] for r in rows),
         "es_vs_full": statistics.fmean(r["es"] for r in rows),
         "kl_vs_full_mean": float(np.mean(kl_steps)),
-        "cosine_by_layer": cos_agg,
-    })
-    return cell
+        "kl_by_step": kl_steps,
+        "cosine_by_layer": (np.mean(cosines, axis=0).tolist()
+                            if all(c is not None for c in cosines) else None),
+    }
 
 
-def _run_cells(cfg: BenchConfig, corpus: str | None, full_arrays: bool) -> dict:
+def _run_cells(cfg: BenchConfig, corpus: str | None, schema: str) -> dict:
     model = init_model(cfg.model)
     corpus = corpus if corpus is not None else DEFAULT_CORPUS
     cells: list[dict] = []
@@ -183,13 +160,13 @@ def _run_cells(cfg: BenchConfig, corpus: str | None, full_arrays: bool) -> dict:
                 trials.append(_Trial(model, document, scen_cfg, cfg.n_generate,
                                      cfg.comment_prefix))
             for strategy in cfg.strategies:
-                run_update(strategy, model, trials[0].pre_cache, trials[0].original,
-                           trials[0].script)  # warm-up, untimed
+                STRATEGIES[strategy](model, trials[0].pre_cache, trials[0].original,
+                                     trials[0].script)  # warm-up, untimed
                 rows = [trial.score(strategy) for trial in trials]
-                cells.append(_aggregate_cell(strategy, context_len, rows, full_arrays))
+                cells.append(_aggregate_cell(strategy, context_len, rows))
     except KeyboardInterrupt:
         interrupted = True
-    return {"schema": DIAGNOSE_SCHEMA if full_arrays else BENCH_SCHEMA,
+    return {"schema": schema,
             "model": asdict(cfg.model),
             "scenario": {"kind": cfg.scenario.kind,
                          "lines_per_edit": cfg.scenario.lines_per_edit,
@@ -200,12 +177,13 @@ def _run_cells(cfg: BenchConfig, corpus: str | None, full_arrays: bool) -> dict:
 
 def run_bench(cfg: BenchConfig, corpus: str | None = None) -> dict:
     """Aggregate timing + accuracy report: one cell per strategy x context_len."""
-    return _run_cells(cfg, corpus, full_arrays=False)
+    return _run_cells(cfg, corpus, BENCH_SCHEMA)
 
 
 def run_diagnose(cfg: BenchConfig, corpus: str | None = None) -> dict:
-    """Plot-ready per-layer cosine and per-step KL arrays per strategy."""
-    return _run_cells(cfg, corpus, full_arrays=True)
+    """The bench report under the diagnose schema, whose CSV flattens the
+    plot-ready per-layer cosine and per-step KL arrays."""
+    return _run_cells(cfg, corpus, DIAGNOSE_SCHEMA)
 
 
 def run_simulate(model_cfg: ModelConfig, script_path, corpus: str, strategy: str,
@@ -216,17 +194,17 @@ def run_simulate(model_cfg: ModelConfig, script_path, corpus: str, strategy: str
     of the truncated predictions.
     """
     if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {tuple(STRATEGIES)}")
     model = init_model(model_cfg)
     tok = ByteTokenizer()
     original = tok.encode(corpus)
-    script = load_script_jsonl(script_path) if isinstance(script_path, (str, bytes)) \
-        else script_path
+    script = script_path if isinstance(script_path, EditScript) \
+        else load_script_jsonl(script_path)
     script.validate(len(original))
     edited = apply_edit_tokens(original, script)
     pre_cache, _ = model.encode(original)
 
-    cache, timing = run_update(strategy, model, pre_cache, original, script)
+    cache, timing = STRATEGIES[strategy](model, pre_cache, original, script)
     entry = original[-1] if strategy == "reuse" else edited[-1]
     tokens = model.generate_greedy(cache.copy(), entry, n_generate)
     pred = first_non_comment_line(tok.decode(tokens), comment_prefix)

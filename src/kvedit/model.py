@@ -15,9 +15,7 @@ the last position itself - without touching the cache.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,37 +133,46 @@ class ToyDecoder:
         positions = start + np.arange(b)
         for l in range(c.n_layers):
             h = rms_norm_rows(x, self.attn_gain[l])
-            q = (h @ self.wq[l]).reshape(b, c.n_heads, c.head_dim)
             k = (h @ self.wk[l]).reshape(b, c.n_heads, c.head_dim)
             v = (h @ self.wv[l]).reshape(b, c.n_heads, c.head_dim)
-            q = self.rope.rotate_block(q, positions)
-            k = self.rope.rotate_block(k, positions)
-            cache.write_block(l, start, k, v)
-            attn = self._attend(q, cache.layer_keys(l, start + b),
-                                cache.layer_values(l, start + b), start)
-            x = x + attn.reshape(b, c.hidden_dim) @ self.wo[l]
-            hm = rms_norm_rows(x, self.mlp_gain[l])
-            x = x + gelu(hm @ self.w_in[l]) @ self.w_out[l]
-            check_finite(x, f"layer {l} hidden states")
+            cache.write_block(l, start, self.rope.rotate_block(k, positions), v)
+            x = self._layer(l, x, h, cache, start)
         cache.commit(b)
+        return self._unembed(x)
+
+    def _layer(self, l: int, x: np.ndarray, h: np.ndarray, cache: KvCache,
+               start: int) -> np.ndarray:
+        """Layer l for hidden rows x at positions [start, start+B), given
+        h = the attention-normed x. Cache rows [0, start+B) of the layer
+        must already hold K/V; the queries attend to them causally.
+        """
+        c = self.config
+        b = x.shape[0]
+        q = (h @ self.wq[l]).reshape(b, c.n_heads, c.head_dim)
+        q = self.rope.rotate_block(q, start + np.arange(b))
+        attn = self._attend(q, cache.layer_keys(l, start + b),
+                            cache.layer_values(l, start + b), start)
+        x = x + attn.reshape(b, c.hidden_dim) @ self.wo[l]
+        hm = rms_norm_rows(x, self.mlp_gain[l])
+        x = x + gelu(hm @ self.w_in[l]) @ self.w_out[l]
+        return check_finite(x, f"layer {l} hidden states")
+
+    def _unembed(self, x: np.ndarray) -> np.ndarray:
         h = rms_norm_rows(x, self.final_gain)
         return check_finite(h @ self.embedding.T, "logits")
 
     # -- public operations ------------------------------------------------------
 
-    def encode(self, tokens, return_all_logits: bool = False):
+    def encode(self, tokens):
         """Full-sequence encode: returns (cache, next-token logits).
 
         The cache holds rotated keys and plain values for every position
-        of `tokens`, at every layer. With return_all_logits=True the full
-        [n, vocab] matrix is returned instead of the last row.
+        of `tokens`, at every layer.
         """
         tokens = self._check_tokens(tokens)
-        embedding_lookup(self.embedding, tokens)  # vocab range check up front
         c = self.config
         cache = KvCache.empty(c.n_layers, c.n_heads, c.head_dim, capacity=len(tokens))
-        logits = self._block_forward(cache, tokens)
-        return cache, (logits if return_all_logits else logits[-1])
+        return cache, self._block_forward(cache, tokens)[-1]
 
     def extend_cache(self, cache: KvCache, tokens) -> np.ndarray:
         """Encode a block of new tokens on top of an existing cache.
@@ -199,18 +206,10 @@ class ToyDecoder:
             raise CacheError("next_logits needs a non-empty cache")
         tokens = self._check_tokens([int(last_token)])
         x = embedding_lookup(self.embedding, tokens)
-        pos = np.array([cache.logical_len - 1])
+        start = cache.logical_len - 1
         for l in range(c.n_layers):
-            h = rms_norm_rows(x, self.attn_gain[l])
-            q = (h @ self.wq[l]).reshape(1, c.n_heads, c.head_dim)
-            q = self.rope.rotate_block(q, pos)
-            attn = self._attend(q, cache.layer_keys(l), cache.layer_values(l),
-                                cache.logical_len - 1)
-            x = x + attn.reshape(1, c.hidden_dim) @ self.wo[l]
-            hm = rms_norm_rows(x, self.mlp_gain[l])
-            x = x + gelu(hm @ self.w_in[l]) @ self.w_out[l]
-        h = rms_norm_rows(x, self.final_gain)
-        return check_finite(h @ self.embedding.T, "logits")[0]
+            x = self._layer(l, x, rms_norm_rows(x, self.attn_gain[l]), cache, start)
+        return self._unembed(x)[0]
 
     def generate_greedy(self, cache: KvCache, last_token: int, n_new: int,
                         return_distributions: bool = False):
@@ -241,67 +240,3 @@ def init_model(config: ModelConfig) -> ToyDecoder:
     """Build a ToyDecoder; same seed yields bit-identical weights."""
     config.validate()
     return ToyDecoder(config)
-
-
-# -- weight blob hook ---------------------------------------------------------
-# Single-file format: uint64 LE header length, JSON header
-# {"config": {...}, "tensors": {name: {"offset": int, "shape": [...]}}},
-# then a contiguous little-endian float32 payload. Provided as a forward
-# hook for externally trained weights; only round-tripping is exercised.
-
-def _named_tensors(model: ToyDecoder):
-    yield "embedding", model.embedding
-    for l in range(model.config.n_layers):
-        yield f"layers.{l}.wq", model.wq[l]
-        yield f"layers.{l}.wk", model.wk[l]
-        yield f"layers.{l}.wv", model.wv[l]
-        yield f"layers.{l}.wo", model.wo[l]
-        yield f"layers.{l}.w_in", model.w_in[l]
-        yield f"layers.{l}.w_out", model.w_out[l]
-        yield f"layers.{l}.attn_gain", model.attn_gain[l]
-        yield f"layers.{l}.mlp_gain", model.mlp_gain[l]
-    yield "final_gain", model.final_gain
-
-
-def save_weights(model: ToyDecoder, path) -> None:
-    tensors = {}
-    offset = 0
-    blobs = []
-    for name, arr in _named_tensors(model):
-        a = np.ascontiguousarray(arr, dtype="<f4")
-        tensors[name] = {"offset": offset, "shape": list(a.shape)}
-        blobs.append(a.tobytes())
-        offset += a.nbytes
-    header = json.dumps({"config": asdict(model.config), "tensors": tensors}).encode()
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for b in blobs:
-            f.write(b)
-
-
-def load_weights(path) -> ToyDecoder:
-    with open(path, "rb") as f:
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode())
-        payload = f.read()
-    model = ToyDecoder(ModelConfig(**header["config"]))
-    loaded = {}
-    for name, meta in header["tensors"].items():
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f4", count=count,
-                            offset=meta["offset"]).reshape(shape).copy()
-        loaded[name] = arr
-    model.embedding = loaded["embedding"]
-    for l in range(model.config.n_layers):
-        model.wq[l] = loaded[f"layers.{l}.wq"]
-        model.wk[l] = loaded[f"layers.{l}.wk"]
-        model.wv[l] = loaded[f"layers.{l}.wv"]
-        model.wo[l] = loaded[f"layers.{l}.wo"]
-        model.w_in[l] = loaded[f"layers.{l}.w_in"]
-        model.w_out[l] = loaded[f"layers.{l}.w_out"]
-        model.attn_gain[l] = loaded[f"layers.{l}.attn_gain"]
-        model.mlp_gain[l] = loaded[f"layers.{l}.mlp_gain"]
-    model.final_gain = loaded["final_gain"]
-    return model

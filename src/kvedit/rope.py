@@ -79,16 +79,6 @@ class RotaryTable:
         cos, sin = self._cos_sin(np.array([pos]))
         return self._apply(v, cos[0], sin[0]).astype(v.dtype, copy=False)
 
-    def rerotate_delta(self, v: np.ndarray, delta: int) -> np.ndarray:
-        """Move a key already rotated for some position p to position p+delta.
-
-        Composition makes this a single rotate by delta; delta=0 returns
-        the input bit-identically (the same-length-replacement case).
-        """
-        if delta == 0:
-            return np.asarray(v)
-        return self.rotate(v, delta)
-
     def rotate_block(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Rotate x[i, ..., :] to positions[i]; x is [n, ...heads..., head_dim]."""
         x = np.asarray(x)

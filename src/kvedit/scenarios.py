@@ -230,11 +230,6 @@ def gen_scenario(document: str, cfg: ScenarioConfig, target_line: str | None = N
 
 # -- synthetic inputs -----------------------------------------------------------
 
-def synthetic_tokens(n: int, vocab_size: int, rng: np.random.Generator) -> list[int]:
-    """Uniform random token stream for pure property tests."""
-    return [int(t) for t in rng.integers(0, vocab_size, size=n)]
-
-
 def random_script(seq_len: int, rng: np.random.Generator, max_ops: int = 3,
                   max_span: int = 12, max_new: int = 12,
                   vocab_size: int = 512) -> EditScript:

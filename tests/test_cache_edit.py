@@ -157,18 +157,23 @@ class TestReuse:
     def test_bit_identical_and_independent(self, tiny_model, rng):
         seq = seqs(rng, 18)
         pre, _ = tiny_model.encode(seq)
-        out = update_reuse(pre, EditScript((EditOp(2, 9),)))
+        out, timing = update_reuse(tiny_model, pre, seq, EditScript((EditOp(2, 9),)))
         assert caches_equal(out, pre)
         assert out.logical_len == pre.logical_len
+        assert timing.recomputed_tokens == timing.rotated_keys == 0
         tiny_model.decode_step(out, 1)  # appending must not touch the original
         assert pre.logical_len == 18
+        with pytest.raises(ScriptError):  # validated like the other strategies
+            update_reuse(tiny_model, pre, seq, EditScript((EditOp(2, 40),)))
+        with pytest.raises(CacheError):
+            update_reuse(tiny_model, pre, seq[:-1], EditScript())
 
     def test_positive_kl_downstream(self, tiny_model, rng):
         seq = seqs(rng, 48)
         script = EditScript((EditOp(8, 8, tuple(seqs(rng, 10))),))
         pre, _ = tiny_model.encode(seq)
         full, _ = update_full_recompute(tiny_model, pre, seq, script)
-        reused = update_reuse(pre, script)
+        reused, _ = update_reuse(tiny_model, pre, seq, script)
         edited = apply_edit_tokens(seq, script)
         _, d_full = tiny_model.generate_greedy(full.copy(), edited[-1], 8,
                                                return_distributions=True)
@@ -176,6 +181,28 @@ class TestReuse:
                                                 return_distributions=True)
         mean_kl = np.mean([kl_divergence(p, q) for p, q in zip(d_full, d_reuse)])
         assert mean_kl > 0
+
+
+class TestConsistencyFlag:
+    """A stale row left by conflict_fast keeps a cache flagged through later
+    updates, until a full recomputation from row 0."""
+
+    @pytest.mark.parametrize("update, op, consistent", [
+        (update_conflict_fast, EditOp(150, 152, (1, 2)), False),  # delta 0
+        (update_pie, EditOp(150, 150, (1, 2)), False),
+        (update_full_recompute, EditOp(200, 200, (1,)), False),
+        (update_full_recompute, EditOp(0, 0, (1,)), True),
+    ], ids=["conflict_fast_delta0", "pie", "full_from_200", "full_from_0"])
+    def test_chain_after_shifting_conflict_fast(self, tiny_model, rng, update, op,
+                                                consistent):
+        seq = seqs(rng, 300)
+        pre, _ = tiny_model.encode(seq)
+        first = EditScript((EditOp(100, 100, (5, 6, 7)),))
+        stale, _ = update_conflict_fast(tiny_model, pre, seq, first)
+        assert not stale.positionally_consistent
+        post, _ = update(tiny_model, stale, apply_edit_tokens(seq, first),
+                         EditScript((op,)))
+        assert post.positionally_consistent is consistent
 
 
 class TestPie:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kvedit import (ArgumentError, DiagnosticsError, DiagnosticsReport, edit_similarity,
-                    exact_match, first_non_comment_line, key_cosine_by_layer,
-                    kl_divergence, levenshtein)
+from kvedit import (ArgumentError, DiagnosticsError, edit_similarity, exact_match,
+                    first_non_comment_line, key_cosine_by_layer, kl_divergence,
+                    levenshtein)
 
 
 def oracle_levenshtein(a: str, b: str) -> int:
@@ -112,29 +112,3 @@ class TestLineMetrics:
         assert first_non_comment_line(text) == "result = 3"
         assert first_non_comment_line("// x\nint y;", comment_prefix="//") == "int y;"
         assert first_non_comment_line("# only comments\n") == ""
-
-
-class TestReport:
-    def test_json_round_trip(self):
-        rep = DiagnosticsReport(strategy="pie", per_layer_cosine=[1.0, 0.9],
-                                per_step_kl=[0.0, 0.1], em=1, es=98.5,
-                                timing={"update_ms": 1.5})
-        import json
-        loaded = json.loads(rep.to_json())
-        assert loaded["strategy"] == "pie"
-        assert loaded["per_layer_cosine"] == [1.0, 0.9]
-
-    def test_invariants_enforced(self):
-        with pytest.raises(DiagnosticsError):
-            DiagnosticsReport(strategy="x", per_layer_cosine=[1.5])
-        with pytest.raises(DiagnosticsError):
-            DiagnosticsReport(strategy="x", es=120.0)
-        with pytest.raises(DiagnosticsError):
-            DiagnosticsReport(strategy="x", per_step_kl=[-0.5])
-
-    def test_csv_rows_flatten_arrays(self):
-        rep = DiagnosticsReport(strategy="pie", per_layer_cosine=[1.0, 0.9],
-                                per_step_kl=[0.2], em=0, es=50.0)
-        rows = rep.csv_rows()
-        series = [(r["series"], r["index"]) for r in rows]
-        assert ("cosine_by_layer", 1) in series and ("kl_by_step", 0) in series

@@ -17,7 +17,7 @@ BYTE_MODEL = ModelConfig(n_layers=3, n_heads=2, head_dim=8, hidden_dim=16,
 
 CELL_KEYS = {"strategy", "context_len", "trials", "update_ms", "recomputed_tokens_mean",
              "rotated_keys_mean", "em_vs_full_pct", "es_vs_full", "kl_vs_full_mean",
-             "cosine_by_layer"}
+             "kl_by_step", "cosine_by_layer"}
 
 
 def bench_cfg(**kw):
@@ -84,6 +84,8 @@ class TestBench:
             bench_cfg(strategies=("pie", "warp"))
         with pytest.raises(ConfigError):
             bench_cfg(context_lens=())
+        with pytest.raises(ConfigError):
+            bench_cfg(comment_prefix="")
 
 
 class TestDiagnose:
@@ -119,7 +121,7 @@ class TestSimulate:
         path = tmp_path / "s.jsonl"
         dump_script_jsonl(EditScript((EditOp(10, 20, tuple(range(40, 55))),)), path)
         a = run_simulate(BYTE_MODEL, str(path), corpus, "pie", n_generate=5)
-        b = run_simulate(BYTE_MODEL, str(path), corpus, "pie", n_generate=5)
+        b = run_simulate(BYTE_MODEL, path, corpus, "pie", n_generate=5)  # a pathlib.Path
         a["timing"].pop("update_ms")
         b["timing"].pop("update_ms")  # wall time is the one legitimately noisy field
         assert a == b
@@ -205,6 +207,13 @@ class TestCli:
         corpus_path = tmp_path / "c.py"
         corpus_path.write_text("x = 1\ny = 2\n")
         assert cli_main(["simulate", str(bad), str(corpus_path)]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--lines-per-edit", "0"),
+                                             ("--num-sites", "0"),
+                                             ("--comment-prefix", "")])
+    def test_invalid_flag_value_exits_2(self, tmp_path, flag, value):
+        assert cli_main(["bench", "--config", self._write_cfg(tmp_path),
+                         "--strategy", "pie", flag, value]) == 2
 
     def test_bad_config_file_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from kvedit import (ArgumentError, CacheError, ConfigError, ModelConfig, init_model,
-                    load_weights, save_weights)
+from kvedit import ArgumentError, CacheError, ConfigError, KvCache, ModelConfig, init_model
 from tests.conftest import TINY
 
 
 def seqs(rng, n, vocab=TINY.vocab_size):
     return [int(t) for t in rng.integers(0, vocab, n)]
+
+
+def all_logits(model, seq):
+    """Next-token logits at every position of seq, [n, vocab]."""
+    c = model.config
+    return model.extend_cache(KvCache.empty(c.n_layers, c.n_heads, c.head_dim), seq)
 
 
 class TestInit:
@@ -55,12 +60,12 @@ class TestEncode:
         for _ in range(3):
             n = int(rng.integers(4, 65))
             seq = seqs(rng, n)
-            _, all_logits = tiny_model.encode(seq, return_all_logits=True)
+            batch = all_logits(tiny_model, seq)
             cache, logits = tiny_model.encode(seq[:1])
-            np.testing.assert_allclose(logits, all_logits[0], atol=1e-4)
+            np.testing.assert_allclose(logits, batch[0], atol=1e-4)
             for t in range(1, n):
                 logits = tiny_model.decode_step(cache, seq[t])
-                np.testing.assert_allclose(logits, all_logits[t], atol=1e-4)
+                np.testing.assert_allclose(logits, batch[t], atol=1e-4)
 
     def test_position_sensitivity(self, tiny_model):
         seq = [5, 9, 5, 9, 5, 9, 1, 2]
@@ -72,10 +77,10 @@ class TestEncode:
 
     def test_causality(self, tiny_model, rng):
         seq = seqs(rng, 24)
-        _, logits_a = tiny_model.encode(seq, return_all_logits=True)
+        logits_a = all_logits(tiny_model, seq)
         changed = list(seq)
         changed[15] = (changed[15] + 1) % TINY.vocab_size
-        _, logits_b = tiny_model.encode(changed, return_all_logits=True)
+        logits_b = all_logits(tiny_model, changed)
         np.testing.assert_array_equal(logits_a[:15], logits_b[:15])
         assert not np.allclose(logits_a[15], logits_b[15], atol=1e-6)
 
@@ -144,19 +149,3 @@ class TestGenerate:
         cache, enc_logits = tiny_model.encode(seq)
         np.testing.assert_allclose(tiny_model.next_logits(cache, seq[-1]),
                                    enc_logits, atol=1e-4)
-
-
-class TestWeightBlob:
-    def test_round_trip(self, tiny_model, tmp_path, rng):
-        path = tmp_path / "weights.bin"
-        save_weights(tiny_model, path)
-        loaded = load_weights(path)
-        assert loaded.config == tiny_model.config
-        assert np.array_equal(loaded.embedding, tiny_model.embedding)
-        for l in range(TINY.n_layers):
-            assert np.array_equal(loaded.wk[l], tiny_model.wk[l])
-            assert np.array_equal(loaded.w_in[l], tiny_model.w_in[l])
-        seq = seqs(rng, 9)
-        _, a = tiny_model.encode(seq)
-        _, b = loaded.encode(seq)
-        np.testing.assert_array_equal(a, b)

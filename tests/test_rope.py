@@ -37,22 +37,21 @@ class TestRerotateDelta:
     def test_zero_delta_bit_identical(self):
         t = RotaryTable(8)
         v = rand_vec(0, 8, np.float32)
-        out = t.rerotate_delta(v, 0)
-        assert out is v or np.array_equal(out, v)
+        assert t.rotate_segment(v, 0) is v
         seg = np.ones((3, 2, 5, 8), dtype=np.float32)
         assert t.rotate_segment(seg, 0) is seg
 
     def test_matches_direct_rotation(self):
         t = RotaryTable(16)
         v = rand_vec(1)
-        via_delta = t.rerotate_delta(t.rotate(v, 7), -3)
+        via_delta = t.rotate_segment(t.rotate(v, 7), -3)
         np.testing.assert_allclose(via_delta, t.rotate(v, 4), atol=1e-6)
 
     def test_delta_additivity(self):
         t = RotaryTable(16)
         v = rand_vec(2)
-        np.testing.assert_allclose(t.rerotate_delta(t.rerotate_delta(v, 2), 3),
-                                   t.rerotate_delta(v, 5), atol=1e-6)
+        np.testing.assert_allclose(t.rotate_segment(t.rotate_segment(v, 2), 3),
+                                   t.rotate_segment(v, 5), atol=1e-6)
 
 
 class TestTable:

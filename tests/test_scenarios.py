@@ -4,7 +4,7 @@ import pytest
 from kvedit import (ByteTokenizer, DEFAULT_CORPUS, ScenarioConfig, ScenarioError,
                     apply_edit_tokens, gen_contextual, gen_deletion, gen_edition,
                     gen_insertion, gen_scenario, load_corpus, random_script,
-                    synthetic_tokens, tile_document)
+                    tile_document)
 
 DOC = tile_document(DEFAULT_CORPUS, 700)
 
@@ -149,10 +149,6 @@ class TestSyntheticAndCorpus:
             script = random_script(n, rng, vocab_size=64)
             script.validate(n)
             apply_edit_tokens(list(range(n)), script)
-
-    def test_synthetic_tokens_in_range(self, rng):
-        toks = synthetic_tokens(100, 64, rng)
-        assert len(toks) == 100 and all(0 <= t < 64 for t in toks)
 
     def test_tile_document_reaches_length(self):
         doc = tile_document("a\nbb\n", 10)
