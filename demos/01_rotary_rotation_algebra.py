@@ -44,7 +44,7 @@ print("max |rerotated - direct| =", float(np.abs(moved - direct).max()))
 print("rotate_segment(key, 0) is bit-identical:",
       np.array_equal(table.rotate_segment(key_at_7, 0), key_at_7))
 
-print("\n== tables grow lazily; long contexts never wrap around ==")
-small = RotaryTable(head_dim=8, max_pos=16)
-_ = small.rotate(v, 5000)
-print("max_pos after touching position 5000:", small.max_pos)
+print("\n== angles are computed per call; any position works, no table to outgrow ==")
+far = table.rotate(v, 100_000)
+print("rotate(rotate(v, 100000), -100000) vs v: max |difference| =",
+      float(np.abs(table.rotate(far, -100_000) - v).max()))

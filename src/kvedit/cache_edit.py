@@ -15,12 +15,14 @@ Strategies, cheapest honest description first:
                        retained key by the cumulative delta at its
                        location, restoring contiguous positions without
                        re-encoding anything.
-* full_recompute     - retain the prefix before the first op and
-                       re-encode everything after it; the exact reference.
+* full_recompute     - the splice of one op that replaces everything from
+                       the first edit onward; the exact reference.
 
 All strategies are pure with respect to `pre_cache`: the updated cache is
 a fresh object, built left to right so each newly encoded segment attends
-to the already-updated cache on its left.
+to the already-updated cache on its left. A spliced cache is positionally
+consistent when no stale row was retained: it left no shifted row
+unrotated, and it kept no row of a flagged pre-edit cache.
 """
 
 from __future__ import annotations
@@ -130,29 +132,22 @@ def _check_pre(model: ToyDecoder, pre_cache: KvCache, pre_seq) -> list[int]:
 
 def update_full_recompute(model: ToyDecoder, pre_cache: KvCache, pre_seq,
                           script: EditScript):
-    """Retain [0, first op start), re-encode the rest. Exact reference."""
-    t0 = time.perf_counter()
+    """Retain [0, first op start), re-encode the rest. Exact reference.
+
+    This is a splice with one op that replaces everything from the first
+    edit onward with its post-edit tokens.
+    """
     pre_seq = _check_pre(model, pre_cache, pre_seq)
-    script.validate(len(pre_seq))
-    c = model.config
     i_first = script.ops[0].start if script.ops else len(pre_seq)
-    post_seq = apply_edit_tokens(pre_seq, script)
-    post = KvCache.empty(c.n_layers, c.n_heads, c.head_dim, capacity=max(len(post_seq), 1))
-    post.append_segment(*pre_cache.segment(0, i_first))
-    # a stale row of pre_cache may sit in the retained prefix
-    post.positionally_consistent = pre_cache.positionally_consistent or i_first == 0
-    tail = post_seq[i_first:]
-    if tail:
-        model.extend_cache(post, tail)
-    timing = UpdateTiming(update_ms=(time.perf_counter() - t0) * 1e3,
-                          recomputed_tokens=len(tail))
-    return post, timing
+    tail = apply_edit_tokens(pre_seq, script)[i_first:]  # validates the script
+    one_op = EditScript((EditOp(i_first, len(pre_seq), tuple(tail)),))
+    return _splice_update(model, pre_cache, pre_seq, one_op, reposition=False)
 
 
 def _splice_update(model: ToyDecoder, pre_cache: KvCache, pre_seq,
                    script: EditScript, reposition: bool):
-    """Shared left-to-right assembly for conflict_fast (reposition=False)
-    and pie (reposition=True)."""
+    """Shared left-to-right assembly for full and conflict_fast
+    (reposition=False) and pie (reposition=True)."""
     t0 = time.perf_counter()
     pre_seq = _check_pre(model, pre_cache, pre_seq)
     script.validate(len(pre_seq))
@@ -162,6 +157,7 @@ def _splice_update(model: ToyDecoder, pre_cache: KvCache, pre_seq,
                          capacity=max(n + script.net_delta, 1))
     recomputed = 0
     rotated = 0
+    retained = 0
     stale = False
     cum_delta = 0
     cursor = 0
@@ -176,6 +172,7 @@ def _splice_update(model: ToyDecoder, pre_cache: KvCache, pre_seq,
             elif cum_delta != 0:
                 stale = True
             post.append_segment(k_seg, v_seg)
+            retained += upto - cursor
         if op is None:
             break
         if op.new_tokens:  # pure deletions skip the forward pass entirely
@@ -183,7 +180,9 @@ def _splice_update(model: ToyDecoder, pre_cache: KvCache, pre_seq,
             recomputed += len(op.new_tokens)
         cum_delta += op.delta
         cursor = op.end
-    post.positionally_consistent = pre_cache.positionally_consistent and not stale
+    # a retained row of a flagged pre_cache may be stale
+    post.positionally_consistent = not stale and (pre_cache.positionally_consistent
+                                                  or retained == 0)
     timing = UpdateTiming(update_ms=(time.perf_counter() - t0) * 1e3,
                           recomputed_tokens=recomputed, rotated_keys=rotated)
     return post, timing

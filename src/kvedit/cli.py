@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 validation error (bad config,
 script, scenario, or corpus), 3 runtime failure. An interrupted bench
 still flushes the partial report (marked "interrupted": true) and exits 3.
 
-Defaults can come from a JSON config file (--config); individual flags
-override it. KVEDIT_OUT_DIR sets the directory for default report paths.
+Defaults can come from a JSON config file (--config), whose keys must be
+bench config fields; individual flags override it. KVEDIT_OUT_DIR sets
+the directory for default report paths.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", help="JSON file with bench config fields")
-        p.add_argument("--strategy", action="append",
+        p.add_argument("--strategy", action="append", dest="strategies",
                        help=f"strategy to run (repeatable): {', '.join(STRATEGIES)}")
-        p.add_argument("--context-len", action="append", type=int,
+        p.add_argument("--context-len", action="append", type=int, dest="context_lens",
                        help="context length in tokens (repeatable)")
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)
@@ -45,7 +46,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--lines-per-edit", type=int)
         p.add_argument("--num-sites", type=int)
         p.add_argument("--corpus", help="UTF-8 text file or directory (default: built-in)")
-        p.add_argument("--comment-prefix", default=None)
+        p.add_argument("--comment-prefix")
         p.add_argument("--out", help="report path (default under KVEDIT_OUT_DIR or cwd)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
 
@@ -59,9 +60,9 @@ def _build_parser() -> _Parser:
     s.add_argument("corpus", help="UTF-8 corpus file to edit")
     s.add_argument("--config", help="JSON file; its \"model\" section sets dimensions")
     s.add_argument("--strategy", default="pie")
-    s.add_argument("--n-generate", type=int, default=64)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--comment-prefix", default="#")
+    s.add_argument("--n-generate", type=int)
+    s.add_argument("--seed", type=int)
+    s.add_argument("--comment-prefix")
     s.add_argument("--out", help="also write the report here")
     s.add_argument("--format", choices=("json", "csv"), default=None)
     return parser
@@ -69,7 +70,17 @@ def _build_parser() -> _Parser:
 
 def _load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        raw = json.load(f)
+    if not (isinstance(raw, dict) and all(isinstance(raw.get(k, {}), dict)
+                                          for k in ("model", "scenario"))):
+        raise ConfigError(f"{path}: config must be a JSON object, as must its "
+                          f"model and scenario sections")
+    return raw
+
+
+def _given(args, names) -> dict:
+    """The flags among `names` that were given on the command line."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
 def _make(cls, kwargs: dict, what: str):
@@ -80,29 +91,15 @@ def _make(cls, kwargs: dict, what: str):
 
 
 def _bench_config(args) -> BenchConfig:
+    """Config file fields, overridden by the flags that were given."""
     raw = _load_config_file(args.config) if args.config else {}
-    model = _make(ModelConfig, raw.get("model", {}), "model config")
-    scen_raw = dict(raw.get("scenario", {}))
-    if args.kind:
-        scen_raw["kind"] = args.kind
-    if args.lines_per_edit is not None:
-        scen_raw["lines_per_edit"] = args.lines_per_edit
-    if args.num_sites is not None:
-        scen_raw["num_sites"] = args.num_sites
-    scenario = _make(ScenarioConfig, scen_raw, "scenario config")
-    return _make(BenchConfig, dict(
-        model=model,
-        strategies=tuple(args.strategy or raw.get("strategies",
-                                                  ("full", "conflict_fast", "pie"))),
-        context_lens=tuple(args.context_len or raw.get("context_lens", (256, 512))),
-        scenario=scenario,
-        trials=args.trials if args.trials is not None else raw.get("trials", 3),
-        n_generate=(args.n_generate if args.n_generate is not None
-                    else raw.get("n_generate", 64)),
-        comment_prefix=(args.comment_prefix if args.comment_prefix is not None
-                        else raw.get("comment_prefix", "#")),
-        seed=args.seed if args.seed is not None else raw.get("seed", 0),
-    ), "bench config")
+    scenario = {**raw.get("scenario", {}),
+                **_given(args, ("kind", "lines_per_edit", "num_sites"))}
+    fields = {**raw, **_given(args, ("strategies", "context_lens", "trials",
+                                     "n_generate", "comment_prefix", "seed"))}
+    fields["model"] = _make(ModelConfig, raw.get("model", {}), "model config")
+    fields["scenario"] = _make(ScenarioConfig, scenario, "scenario config")
+    return _make(BenchConfig, fields, "bench config")
 
 
 def _out_path(args, default_name: str) -> str:
@@ -136,8 +133,7 @@ def main(argv=None) -> int:
         model_cfg = _make(ModelConfig, model_raw, "model config")
         report = run_simulate(model_cfg, args.script,
                               load_corpus(args.corpus), args.strategy,
-                              n_generate=args.n_generate,
-                              comment_prefix=args.comment_prefix)
+                              **_given(args, ("n_generate", "comment_prefix")))
         print(report["prediction"])
         if not report["matches_full"]:
             print(f"note: diverges from full recomputation "

@@ -7,7 +7,8 @@ then greedily generate and score against the full-recomputation reference.
 Update timing comes from the update ops themselves (monotonic clock,
 measured around cache-update work only); one untimed warm-up update runs
 per cell before the timed trials. Trials within a cell run sequentially
-for timing fidelity.
+for timing fidelity. `simulate` is one such trial on a user's tokens and
+script.
 
 Report dicts are schema-stable; see README for the field list.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -51,15 +52,26 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.strategies = tuple(self.strategies)
+        self.context_lens = tuple(self.context_lens)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.context_lens:
             raise ConfigError("context_lens must be non-empty")
-        bad = [s for s in self.strategies if s not in STRATEGIES]
-        if bad:
-            raise ConfigError(f"unknown strategy {bad[0]!r}; expected one of {tuple(STRATEGIES)}")
-        if not self.comment_prefix:
-            raise ConfigError("comment_prefix must be non-empty")
+        if min(self.context_lens) < 1:
+            raise ConfigError(f"context_lens entries must be >= 1, got {self.context_lens}")
+        _check_run_inputs(self.strategies, self.n_generate, self.comment_prefix)
+
+
+def _check_run_inputs(strategies, n_generate: int, comment_prefix: str) -> None:
+    """The checks bench and simulate share, run before any model is built."""
+    bad = [s for s in strategies if s not in STRATEGIES]
+    if bad:
+        raise ConfigError(f"unknown strategy {bad[0]!r}; expected one of {tuple(STRATEGIES)}")
+    if n_generate < 1:
+        raise ConfigError(f"n_generate must be >= 1, got {n_generate}")
+    if not comment_prefix:
+        raise ConfigError("comment_prefix must be non-empty")
 
 
 def suffix_span(script: EditScript, post_len: int) -> tuple[int, int] | None:
@@ -79,20 +91,17 @@ def suffix_span(script: EditScript, post_len: int) -> tuple[int, int] | None:
 class _Trial:
     """Everything one trial shares across strategy cells."""
 
-    def __init__(self, model: ToyDecoder, document: str, scen_cfg: ScenarioConfig,
+    def __init__(self, model: ToyDecoder, original: list[int], script: EditScript,
                  n_generate: int, comment_prefix: str):
         tok = ByteTokenizer()
-        self.scenario = gen_scenario(document, scen_cfg)
-        self.original = self.scenario.original
-        self.edited = self.scenario.edited
-        self.script = self.scenario.script
+        self.original = original
+        self.script = script
+        self.edited = apply_edit_tokens(original, script)
         self.pre_cache, _ = model.encode(self.original)
-        self.ref_cache, self.ref_timing = update_full_recompute(
-            model, self.pre_cache, self.original, self.script)
-        work = self.ref_cache.copy()
-        self.ref_tokens, self.ref_dists = model.generate_greedy(
-            work, self.edited[-1], n_generate, return_distributions=True)
-        self.ref_pred = first_non_comment_line(tok.decode(self.ref_tokens), comment_prefix)
+        self.ref_cache, _ = update_full_recompute(model, self.pre_cache, original, script)
+        ref_tokens, self.ref_dists = model.generate_greedy(
+            self.ref_cache.copy(), self.edited[-1], n_generate, return_distributions=True)
+        self.ref_pred = first_non_comment_line(tok.decode(ref_tokens), comment_prefix)
         self._tok = tok
         self._model = model
         self._n_generate = n_generate
@@ -111,10 +120,12 @@ class _Trial:
         tokens, dists = self._model.generate_greedy(
             cache.copy(), entry, self._n_generate, return_distributions=True)
         kl = [kl_divergence(p, q) for p, q in zip(self.ref_dists, dists)]
-        pred = first_non_comment_line(self._tok.decode(tokens), self._comment_prefix)
+        text = self._tok.decode(tokens)
+        pred = first_non_comment_line(text, self._comment_prefix)
         return {"timing": timing.as_dict(), "cosine_by_layer": cosine,
                 "kl_by_step": kl, "em": exact_match(pred, self.ref_pred),
-                "es": edit_similarity(pred, self.ref_pred), "prediction": pred}
+                "es": edit_similarity(pred, self.ref_pred), "prediction": pred,
+                "text": text}
 
 
 def _mean_std_median(values: list[float]) -> dict:
@@ -153,11 +164,9 @@ def _run_cells(cfg: BenchConfig, corpus: str | None, schema: str) -> dict:
             document = tile_document(corpus, context_len)
             trials = []
             for t in range(cfg.trials):
-                scen_cfg = ScenarioConfig(kind=cfg.scenario.kind,
-                                          lines_per_edit=cfg.scenario.lines_per_edit,
-                                          num_sites=cfg.scenario.num_sites,
-                                          rng_seed=cfg.scenario.rng_seed + cfg.seed + t)
-                trials.append(_Trial(model, document, scen_cfg, cfg.n_generate,
+                scen = gen_scenario(document, replace(
+                    cfg.scenario, rng_seed=cfg.scenario.rng_seed + cfg.seed + t))
+                trials.append(_Trial(model, scen.original, scen.script, cfg.n_generate,
                                      cfg.comment_prefix))
             for strategy in cfg.strategies:
                 STRATEGIES[strategy](model, trials[0].pre_cache, trials[0].original,
@@ -193,34 +202,19 @@ def run_simulate(model_cfg: ModelConfig, script_path, corpus: str, strategy: str
     Always also runs the full-recomputation reference and flags divergence
     of the truncated predictions.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {tuple(STRATEGIES)}")
-    model = init_model(model_cfg)
-    tok = ByteTokenizer()
-    original = tok.encode(corpus)
+    _check_run_inputs((strategy,), n_generate, comment_prefix)
     script = script_path if isinstance(script_path, EditScript) \
         else load_script_jsonl(script_path)
+    original = ByteTokenizer().encode(corpus)
     script.validate(len(original))
-    edited = apply_edit_tokens(original, script)
-    pre_cache, _ = model.encode(original)
-
-    cache, timing = STRATEGIES[strategy](model, pre_cache, original, script)
-    entry = original[-1] if strategy == "reuse" else edited[-1]
-    tokens = model.generate_greedy(cache.copy(), entry, n_generate)
-    pred = first_non_comment_line(tok.decode(tokens), comment_prefix)
-
-    ref_cache, _ = update_full_recompute(model, pre_cache, original, script)
-    ref_tokens = model.generate_greedy(ref_cache.copy(), edited[-1], n_generate)
-    ref_pred = first_non_comment_line(tok.decode(ref_tokens), comment_prefix)
-
+    trial = _Trial(init_model(model_cfg), original, script, n_generate, comment_prefix)
+    row = trial.score(strategy)
     return {"schema": SIMULATE_SCHEMA, "strategy": strategy,
             "model": asdict(model_cfg), "n_generate": n_generate,
-            "prediction": pred, "full_prediction": ref_pred,
-            "matches_full": pred == ref_pred,
-            "em_vs_full": exact_match(pred, ref_pred),
-            "es_vs_full": edit_similarity(pred, ref_pred),
-            "timing": timing.as_dict(),
-            "generated_text": tok.decode(tokens)}
+            "prediction": row["prediction"], "full_prediction": trial.ref_pred,
+            "matches_full": row["prediction"] == trial.ref_pred,
+            "em_vs_full": row["em"], "es_vs_full": row["es"],
+            "timing": row["timing"], "generated_text": row["text"]}
 
 
 # -- report files -----------------------------------------------------------------

@@ -5,11 +5,11 @@ with a shared logical length; position p of the post-edit sequence lives at
 row p, always contiguous 0..logical_len-1. Keys are stored post-rotation
 (position baked in), values unrotated.
 
-`positionally_consistent` is True when every stored key's rotation
-matches its row index; False means a stale row may remain. Conflict-fast
-splicing clears it when it leaves stale rotations behind, and an update
-that retains rows of a flagged cache stays flagged: only a full
-recomputation from row 0 sets it again.
+`positionally_consistent` is True when no stale row was retained: every
+stored key's rotation matches its row index. False means a stale row may
+remain. Conflict-fast splicing clears it when it leaves shifted rows
+unrotated, and an update that retains any row of a flagged cache stays
+flagged; an update that retains no row of it starts clean.
 
 A cache has a single owner at a time; there is no internal locking.
 """

@@ -1,4 +1,4 @@
-"""Rotary position tables: forward, inverse, and relative re-rotation.
+"""Rotary position encoding: forward, inverse, and relative re-rotation.
 
 Pairing convention is half-split ("rotate_half"): component k pairs with
 component k + head_dim/2, and the pair is rotated by angle pos * f_k with
@@ -7,12 +7,11 @@ then b equals rotating by a+b) and are orthogonal, which is what lets a
 cached key be moved to a new position with a single rotation by the
 position delta - no knowledge of its absolute position required.
 
-Angle tables are kept in float64; outputs preserve the input dtype.
+Angles are computed in float64 for the positions at hand; outputs
+preserve the input dtype.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -20,46 +19,22 @@ from .errors import ShapeError
 
 
 class RotaryTable:
-    """Precomputed cos/sin tables indexed [position][frequency].
+    """Rotation to any signed position; holds only the frequencies f_k.
 
-    Covers positions 0..max_pos-1 and grows itself by doubling when a
-    larger position is requested (never wraps silently). Negative
-    positions are first-class: cos is even and sin is odd, so lookups use
-    |pos| with the sine sign flipped. Growth is lock-protected; rotation
-    itself is pure and safe to share across threads.
+    Rotation is pure and safe to share across threads.
     """
 
-    def __init__(self, head_dim: int, base: float = 10000.0, max_pos: int = 1024):
+    def __init__(self, head_dim: int, base: float = 10000.0):
         if head_dim <= 0 or head_dim % 2 != 0:
             raise ShapeError(f"head_dim must be a positive even count, got {head_dim}")
         self.head_dim = head_dim
         self.base = float(base)
         self.freqs = self.base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
-        self._lock = threading.Lock()
-        self.max_pos = 0
-        self._grow(max(int(max_pos), 1))
-
-    def _grow(self, limit: int) -> None:
-        with self._lock:
-            if limit <= self.max_pos:
-                return
-            new_max = max(self.max_pos, 1)
-            while new_max < limit:
-                new_max *= 2
-            angles = np.arange(new_max)[:, None] * self.freqs[None, :]
-            self.cos = np.cos(angles)
-            self.sin = np.sin(angles)
-            self.max_pos = new_max
 
     def _cos_sin(self, positions: np.ndarray):
         """cos/sin rows for signed positions, shape [len(positions), head_dim/2]."""
-        positions = np.asarray(positions, dtype=np.int64)
-        mag = np.abs(positions)
-        top = int(mag.max(initial=0))
-        if top >= self.max_pos:
-            self._grow(top + 1)
-        sign = np.where(positions < 0, -1.0, 1.0)
-        return self.cos[mag], self.sin[mag] * sign[..., None]
+        angles = np.asarray(positions, dtype=np.int64)[:, None] * self.freqs
+        return np.cos(angles), np.sin(angles)
 
     @staticmethod
     def _apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:

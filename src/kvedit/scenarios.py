@@ -76,6 +76,9 @@ class ScenarioConfig:
             raise ScenarioError(f"lines_per_edit must be >= 1, got {self.lines_per_edit}")
         if self.num_sites < 1:
             raise ScenarioError(f"num_sites must be >= 1, got {self.num_sites}")
+        if self.kind == "multi_place_contextual" and self.num_sites < 2:
+            raise ScenarioError(f"multi_place_contextual needs num_sites >= 2, "
+                                f"got {self.num_sites}")
 
 
 @dataclass
@@ -135,7 +138,10 @@ def gen_deletion(document: str, cfg: ScenarioConfig) -> Scenario:
                               "sites": [b], "lines_per_edit": k})
 
 
-def gen_edition(document: str, cfg: ScenarioConfig, max_retries: int = 100) -> Scenario:
+_MAX_RETRIES = 100  # draws of the two sites; only b == a is redrawn
+
+
+def gen_edition(document: str, cfg: ScenarioConfig) -> Scenario:
     """Insertion and deletion at disjoint sites: a sorted two-op script."""
     tok = ByteTokenizer()
     lines = _lines(document)
@@ -143,7 +149,7 @@ def gen_edition(document: str, cfg: ScenarioConfig, max_retries: int = 100) -> S
     if len(lines) <= 2 * k:
         raise ScenarioError(f"document has {len(lines)} lines; need more than {2 * k}")
     rng = np.random.default_rng(cfg.rng_seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         a = int(rng.integers(0, len(lines) - k + 1))     # block removed, to re-insert
         reduced = lines[:a] + lines[a + k:]
         b = int(rng.integers(0, len(reduced) + 1))       # junk boundary in reduced coords
@@ -158,18 +164,11 @@ def gen_edition(document: str, cfg: ScenarioConfig, max_retries: int = 100) -> S
         span = _tok_len(junk)
         ins_op = EditOp(p_ins, p_ins, tuple(tok.encode(block)))
         del_op = EditOp(p_del, p_del + span)
-        try:
-            script = EditScript(tuple(sorted((ins_op, del_op), key=lambda o: o.start)))
-        except Exception:
-            continue
-        original = tok.encode("".join(original_lines))
-        edited = tok.encode(document)
-        if apply_edit_tokens(original, script) != edited:
-            continue
-        return Scenario(original, script, edited,
+        script = EditScript(tuple(sorted((ins_op, del_op), key=lambda o: o.start)))
+        return Scenario(tok.encode("".join(original_lines)), script, tok.encode(document),
                         manifest={"kind": "edition", "seed": cfg.rng_seed,
                                   "sites": [a, b], "lines_per_edit": k})
-    raise ScenarioError(f"could not place disjoint edit sites after {max_retries} retries")
+    raise ScenarioError(f"could not place disjoint edit sites after {_MAX_RETRIES} retries")
 
 
 def gen_contextual(document: str, target_line: str, cfg: ScenarioConfig) -> Scenario:
@@ -218,12 +217,7 @@ def gen_scenario(document: str, cfg: ScenarioConfig, target_line: str | None = N
             raise ScenarioError("contextual scenario needs a multi-line document")
         target_line = lines[-1].rstrip("\n")
         document = "".join(lines[:-1])
-    sites = cfg.num_sites
-    if cfg.kind == "multi_place_contextual" and sites == 1:
-        sites = 3  # multi-place with an unset site count defaults to 3 sites
-    sub = ScenarioConfig(kind="contextual", lines_per_edit=cfg.lines_per_edit,
-                         num_sites=sites, rng_seed=cfg.rng_seed)
-    out = gen_contextual(document, target_line, sub)
+    out = gen_contextual(document, target_line, cfg)
     out.manifest["kind"] = cfg.kind
     return out
 

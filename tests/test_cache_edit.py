@@ -185,14 +185,18 @@ class TestReuse:
 
 class TestConsistencyFlag:
     """A stale row left by conflict_fast keeps a cache flagged through later
-    updates, until a full recomputation from row 0."""
+    updates that retain any of its rows."""
 
     @pytest.mark.parametrize("update, op, consistent", [
         (update_conflict_fast, EditOp(150, 152, (1, 2)), False),  # delta 0
         (update_pie, EditOp(150, 150, (1, 2)), False),
         (update_full_recompute, EditOp(200, 200, (1,)), False),
         (update_full_recompute, EditOp(0, 0, (1,)), True),
-    ], ids=["conflict_fast_delta0", "pie", "full_from_200", "full_from_0"])
+        # replacing all of [0, 303) retains no row of the flagged cache
+        (update_pie, EditOp(0, 303, (1, 2)), True),
+        (update_conflict_fast, EditOp(0, 303, (1, 2, 3, 4)), True),
+    ], ids=["conflict_fast_delta0", "pie", "full_from_200", "full_from_0",
+            "pie_whole_sequence", "conflict_fast_whole_sequence"])
     def test_chain_after_shifting_conflict_fast(self, tiny_model, rng, update, op,
                                                 consistent):
         seq = seqs(rng, 300)

@@ -86,6 +86,11 @@ class TestBench:
             bench_cfg(context_lens=())
         with pytest.raises(ConfigError):
             bench_cfg(comment_prefix="")
+        with pytest.raises(ConfigError, match="n_generate"):
+            bench_cfg(n_generate=0)
+        with pytest.raises(ConfigError, match="context_lens"):
+            bench_cfg(context_lens=(192, 0))
+        assert bench_cfg(context_lens=[192], strategies=["pie"]).context_lens == (192,)
 
 
 class TestDiagnose:
@@ -164,10 +169,10 @@ class TestReportFiles:
 
 
 class TestCli:
-    def _write_cfg(self, tmp_path):
+    def _write_cfg(self, tmp_path, **fields):
         cfg = {"model": {"n_layers": 2, "n_heads": 2, "head_dim": 8, "hidden_dim": 16,
                          "mlp_dim": 32, "vocab_size": 280, "seed": 3},
-               "context_lens": [160], "trials": 1, "n_generate": 3}
+               "context_lens": [160], "trials": 1, "n_generate": 3, **fields}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         return str(path)
@@ -215,10 +220,36 @@ class TestCli:
         assert cli_main(["bench", "--config", self._write_cfg(tmp_path),
                          "--strategy", "pie", flag, value]) == 2
 
+    @pytest.mark.parametrize("command, flags, cfg_fields, field", [
+        ("bench", ["--n-generate", "0"], {}, "n_generate"),
+        ("bench", ["--context-len", "0"], {}, "context_len"),
+        ("bench", [], {"trails": 9}, "trails"),  # misspelt config key
+        ("bench", ["--kind", "multi_place_contextual"], {}, "num_sites"),
+        ("simulate", ["--n-generate", "0"], {}, "n_generate"),
+        ("simulate", ["--comment-prefix", ""], {}, "comment_prefix"),
+    ], ids=["bench_n_generate_0", "bench_context_len_0", "bench_unknown_config_key",
+            "bench_multi_place_one_site", "simulate_n_generate_0",
+            "simulate_empty_comment_prefix"])
+    def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, flags,
+                                         cfg_fields, field):
+        if command == "bench":
+            cfg = self._write_cfg(tmp_path, **cfg_fields)
+            argv = ["bench", "--config", cfg, "--strategy", "pie",
+                    "--out", str(tmp_path / "r.json"), *flags]
+        else:
+            corpus_path = tmp_path / "ctx.py"
+            corpus_path.write_text(tile_document(DEFAULT_CORPUS, 120))
+            script_path = tmp_path / "s.jsonl"
+            script_path.write_text('{"start": 2, "end": 2, "tokens": [65, 10]}\n')
+            argv = ["simulate", str(script_path), str(corpus_path), *flags]
+        assert cli_main(argv) == 2
+        assert field in capsys.readouterr().err
+
     def test_bad_config_file_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": {"no_such_field": 1}}))
-        assert cli_main(["bench", "--config", str(cfg), "--strategy", "pie"]) == 2
+        for raw in ({"model": {"no_such_field": 1}}, [1, 2], {"scenario": "insertion"}):
+            cfg.write_text(json.dumps(raw))
+            assert cli_main(["bench", "--config", str(cfg), "--strategy", "pie"]) == 2
 
     def test_simulate_respects_config_model(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

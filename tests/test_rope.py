@@ -56,26 +56,27 @@ class TestRerotateDelta:
 
 class TestTable:
     def test_pythagorean_identity(self):
-        t = RotaryTable(8, max_pos=512)
-        np.testing.assert_allclose(t.cos ** 2 + t.sin ** 2, 1.0, atol=1e-6)
+        cos, sin = RotaryTable(8)._cos_sin(np.arange(-512, 512))
+        np.testing.assert_allclose(cos ** 2 + sin ** 2, 1.0, atol=1e-6)
 
     def test_head_dim_must_be_even(self):
         with pytest.raises(ShapeError):
             RotaryTable(5)
 
     def test_lazy_growth_no_wraparound(self):
-        small = RotaryTable(4, max_pos=8)
-        big = RotaryTable(4, max_pos=2048)
+        # far positions use their own angle, not one wrapped into a range
+        t = RotaryTable(4)
         v = rand_vec(3, 4)
-        np.testing.assert_allclose(small.rotate(v, 1000), big.rotate(v, 1000),
-                                   atol=1e-12)
-        assert small.max_pos >= 1001
-        assert small.max_pos == 1024  # doubling from 8
+        angles = 1000 * t.freqs
+        half = 2
+        expected = np.concatenate([v[:half] * np.cos(angles) - v[half:] * np.sin(angles),
+                                   v[half:] * np.cos(angles) + v[:half] * np.sin(angles)])
+        np.testing.assert_allclose(t.rotate(v, 1000), expected, atol=1e-12)
 
     def test_negative_positions_grow_table_too(self):
-        t = RotaryTable(4, max_pos=4)
+        t = RotaryTable(4)
         v = rand_vec(4, 4)
-        np.testing.assert_allclose(t.rotate(t.rotate(v, 100), -100), v, atol=1e-9)
+        np.testing.assert_allclose(t.rotate(t.rotate(v, 100_000), -100_000), v, atol=1e-9)
 
 
 @given(POS, st.integers(0, 2**32 - 1))

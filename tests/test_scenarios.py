@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kvedit import scenarios
 from kvedit import (ByteTokenizer, DEFAULT_CORPUS, ScenarioConfig, ScenarioError,
                     apply_edit_tokens, gen_contextual, gen_deletion, gen_edition,
                     gen_insertion, gen_scenario, load_corpus, random_script,
@@ -76,16 +77,24 @@ class TestEdition:
         assert first.start < second.start and first.end <= second.start
         assert_round_trip(scen)
 
+    def test_round_trip_over_seeds(self):
+        # the two sites never collide once b == a is redrawn, so every
+        # generated script reproduces the document
+        for seed in range(40):
+            assert_round_trip(gen_edition(DOC, ScenarioConfig(kind="edition",
+                                                              rng_seed=seed)))
+
     def test_net_delta_is_insert_minus_delete(self):
         scen = gen_edition(DOC, ScenarioConfig(kind="edition", rng_seed=7))
         ins = sum(len(op.new_tokens) for op in scen.script.ops)
         dels = sum(op.end - op.start for op in scen.script.ops)
         assert scen.script.net_delta == ins - dels
 
-    def test_retry_exhaustion(self):
+    def test_retry_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_MAX_RETRIES", 0)
         doc = "".join(f"line{i}\n" for i in range(11))
         with pytest.raises(ScenarioError, match="retries"):
-            gen_edition(doc, ScenarioConfig(kind="edition", rng_seed=0), max_retries=0)
+            gen_edition(doc, ScenarioConfig(kind="edition", rng_seed=0))
 
 
 class TestContextual:
@@ -128,11 +137,17 @@ class TestDispatchAndConfig:
         with pytest.raises(ScenarioError):
             ScenarioConfig(kind="swizzle")
 
+    def test_multi_place_needs_two_sites(self):
+        with pytest.raises(ScenarioError, match="num_sites"):
+            ScenarioConfig(kind="multi_place_contextual", num_sites=1)
+
     def test_all_kinds_round_trip(self):
         for kind in ("insertion", "deletion", "edition", "contextual",
                      "multi_place_contextual"):
             for seed in range(3):
-                scen = gen_scenario(DOC, ScenarioConfig(kind=kind, rng_seed=seed))
+                sites = 2 if kind == "multi_place_contextual" else 1
+                scen = gen_scenario(DOC, ScenarioConfig(kind=kind, rng_seed=seed,
+                                                        num_sites=sites))
                 assert_round_trip(scen)
                 scen.script.validate(len(scen.original))
 
