@@ -5,6 +5,8 @@ callers (and the CLI) can distinguish validation failures from genuine
 runtime faults.
 """
 
+from numbers import Integral
+
 
 class KveditError(Exception):
     """Base class for all kvedit errors."""
@@ -40,3 +42,11 @@ class ScenarioError(KveditError, ValueError):
 
 class DiagnosticsError(KveditError, ValueError):
     """Diagnostic inputs are incomparable (shape or length mismatch)."""
+
+
+def check_int(error: type, name: str, value, minimum: int) -> None:
+    """Raise `error` naming `name` unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")

@@ -26,7 +26,7 @@ from .cache_edit import (EditScript, STRATEGIES, apply_edit_tokens, load_script_
                          update_full_recompute)
 from .diagnostics import (edit_similarity, exact_match, first_non_comment_line,
                           key_cosine_by_layer, kl_divergence)
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .model import ModelConfig, ToyDecoder, init_model
 from .scenarios import (ByteTokenizer, DEFAULT_CORPUS, ScenarioConfig, gen_scenario,
                         tile_document)
@@ -54,12 +54,12 @@ class BenchConfig:
     def __post_init__(self):
         self.strategies = tuple(self.strategies)
         self.context_lens = tuple(self.context_lens)
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        check_int(ConfigError, "trials", self.trials, 1)
+        check_int(ConfigError, "seed", self.seed, 0)
         if not self.context_lens:
             raise ConfigError("context_lens must be non-empty")
-        if min(self.context_lens) < 1:
-            raise ConfigError(f"context_lens entries must be >= 1, got {self.context_lens}")
+        for n in self.context_lens:
+            check_int(ConfigError, "context_lens entries", n, 1)
         _check_run_inputs(self.strategies, self.n_generate, self.comment_prefix)
 
 
@@ -68,8 +68,7 @@ def _check_run_inputs(strategies, n_generate: int, comment_prefix: str) -> None:
     bad = [s for s in strategies if s not in STRATEGIES]
     if bad:
         raise ConfigError(f"unknown strategy {bad[0]!r}; expected one of {tuple(STRATEGIES)}")
-    if n_generate < 1:
-        raise ConfigError(f"n_generate must be >= 1, got {n_generate}")
+    check_int(ConfigError, "n_generate", n_generate, 1)
     if not comment_prefix:
         raise ConfigError("comment_prefix must be non-empty")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CacheError, ConfigError
+from .errors import ArgumentError, CacheError, ConfigError, check_int
 from .kv_cache import KvCache
 from .rope import RotaryTable
 from .tensor_core import F32, check_finite, embedding_lookup, gelu, rms_norm_rows, softmax_rows
@@ -44,8 +44,8 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("n_layers", "n_heads", "head_dim", "hidden_dim", "mlp_dim", "vocab_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_int(ConfigError, name, getattr(self, name), 1)
+        check_int(ConfigError, "seed", self.seed, 0)
         if self.head_dim % 2 != 0:
             raise ConfigError(f"head_dim must be even, got {self.head_dim}")
         if self.hidden_dim != self.n_heads * self.head_dim:
@@ -102,23 +102,30 @@ class ToyDecoder:
         to columns <= that position. Slabs are aligned to absolute-position
         multiples of _ATTN_SLAB so re-encoding a tail reproduces the exact
         arithmetic of a full encode row by row.
+
+        The cache is read through strided views, never copied. Slab
+        [c0, c1) reads only columns [0, past_len + c1), the ones its last
+        row can see; a one-row slab (every decode step and next_logits
+        call) sees all of them, so it needs no mask. Slabs run last to
+        first, so each slab's buffers are no larger than the ones the slab
+        before it freed and can reuse their memory.
         """
-        b, n_heads, head_dim = q_rot.shape
-        total = keys.shape[0]
-        qh = np.ascontiguousarray(q_rot.transpose(1, 0, 2))      # [H, B, d]
-        kh = np.ascontiguousarray(keys.transpose(1, 2, 0))       # [H, d, T]
-        vh = np.ascontiguousarray(values.transpose(1, 0, 2))     # [H, T, d]
+        b = q_rot.shape[0]
+        qh = q_rot.transpose(1, 0, 2)                            # [H, B, d]
+        kh = keys.transpose(1, 2, 0)                             # [H, d, T]
+        vh = values.transpose(1, 0, 2)                           # [H, T, d]
         out = np.empty_like(q_rot)
-        cols = np.arange(total)[None, :]
-        c0 = 0
-        while c0 < b:
-            c1 = min(b, c0 + _ATTN_SLAB - (past_len + c0) % _ATTN_SLAB)
-            scores = (qh[:, c0:c1] @ kh) * self._scale           # [H, rows, T]
-            limit = (past_len + np.arange(c0, c1))[:, None]
-            scores = np.where(cols > limit, _NEG, scores)
+        c1 = b
+        while c1 > 0:
+            c0 = max(0, (past_len + c1 - 1) // _ATTN_SLAB * _ATTN_SLAB - past_len)
+            n = past_len + c1
+            scores = (qh[:, c0:c1] @ kh[:, :, :n]) * self._scale  # [H, rows, n]
+            if c1 - c0 > 1:
+                limit = (past_len + np.arange(c0, c1))[:, None]
+                scores = np.where(np.arange(n)[None, :] > limit, _NEG, scores)
             probs = softmax_rows(scores)
-            out[c0:c1] = (probs @ vh).transpose(1, 0, 2)
-            c0 = c1
+            out[c0:c1] = (probs @ vh[:, :n]).transpose(1, 0, 2)
+            c1 = c0
         return out
 
     def _block_forward(self, cache: KvCache, tokens: np.ndarray) -> np.ndarray:

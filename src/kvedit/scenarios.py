@@ -25,7 +25,7 @@ import numpy as np
 
 from .cache_edit import EditOp, EditScript, apply_edit_tokens
 from .diagnostics import levenshtein
-from .errors import ScenarioError
+from .errors import ScenarioError, check_int
 
 SCENARIO_KINDS = ("insertion", "deletion", "edition", "contextual", "multi_place_contextual")
 
@@ -72,10 +72,9 @@ class ScenarioConfig:
         if self.kind not in SCENARIO_KINDS:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}; "
                                 f"expected one of {SCENARIO_KINDS}")
-        if self.lines_per_edit < 1:
-            raise ScenarioError(f"lines_per_edit must be >= 1, got {self.lines_per_edit}")
-        if self.num_sites < 1:
-            raise ScenarioError(f"num_sites must be >= 1, got {self.num_sites}")
+        check_int(ScenarioError, "lines_per_edit", self.lines_per_edit, 1)
+        check_int(ScenarioError, "num_sites", self.num_sites, 1)
+        check_int(ScenarioError, "rng_seed", self.rng_seed, 0)
         if self.kind == "multi_place_contextual" and self.num_sites < 2:
             raise ScenarioError(f"multi_place_contextual needs num_sites >= 2, "
                                 f"got {self.num_sites}")

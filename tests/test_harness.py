@@ -1,9 +1,14 @@
 import json
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kvedit
 from kvedit import (BenchConfig, ConfigError, DEFAULT_CORPUS, EditOp, EditScript,
                     ModelConfig, ScenarioConfig, dump_script_jsonl, init_model,
                     run_bench, run_diagnose, run_simulate, suffix_span, tile_document,
@@ -227,9 +232,15 @@ class TestCli:
         ("bench", ["--kind", "multi_place_contextual"], {}, "num_sites"),
         ("simulate", ["--n-generate", "0"], {}, "n_generate"),
         ("simulate", ["--comment-prefix", ""], {}, "comment_prefix"),
+        ("bench", ["--seed", "-1"], {}, "seed"),
+        ("bench", [], {"seed": 1.5}, "seed"),
+        ("bench", [], {"scenario": {"rng_seed": -3}}, "rng_seed"),
+        ("bench", [], {"model": {"n_layers": 1.5}}, "n_layers"),
+        ("bench", [], {"trials": True}, "trials"),
     ], ids=["bench_n_generate_0", "bench_context_len_0", "bench_unknown_config_key",
             "bench_multi_place_one_site", "simulate_n_generate_0",
-            "simulate_empty_comment_prefix"])
+            "simulate_empty_comment_prefix", "bench_negative_seed", "bench_float_seed",
+            "bench_negative_rng_seed", "bench_float_n_layers", "bench_bool_trials"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, flags,
                                          cfg_fields, field):
         if command == "bench":
@@ -244,6 +255,13 @@ class TestCli:
             argv = ["simulate", str(script_path), str(corpus_path), *flags]
         assert cli_main(argv) == 2
         assert field in capsys.readouterr().err
+
+    def test_module_entry_point_help(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(kvedit.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "kvedit", "--help"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "bench" in done.stdout
 
     def test_bad_config_file_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -93,6 +93,44 @@ class TestEncode:
             assert cache.layer_values(l).shape == (17, TINY.n_heads, TINY.head_dim)
 
 
+class TestAttend:
+    @pytest.mark.parametrize("past_len, b", [(0, 1), (0, 600), (511, 1), (511, 3),
+                                             (700, 1), (300, 900)])
+    def test_matches_dense_float64_reference(self, tiny_model, rng, past_len, b):
+        h, d = TINY.n_heads, TINY.head_dim
+        total = past_len + b
+        q = rng.standard_normal((b, h, d)).astype(np.float32)
+        k = rng.standard_normal((total, h, d)).astype(np.float32)
+        v = rng.standard_normal((total, h, d)).astype(np.float32)
+        got = tiny_model._attend(q, k, v, past_len)
+        scores = np.einsum("bhd,thd->hbt", q.astype(np.float64), k.astype(np.float64))
+        scores /= np.sqrt(d)
+        visible = np.arange(total)[None, :] <= (past_len + np.arange(b))[:, None]
+        scores = np.where(visible, scores, -np.inf)
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        want = np.einsum("hbt,thd->bhd", probs, v.astype(np.float64))
+        np.testing.assert_allclose(got, want, atol=1e-5)
+
+    def test_chunks_across_slab_boundary_match_encode(self, tiny_model, rng):
+        seq = seqs(rng, 1100)
+        ref, ref_logits = tiny_model.encode(seq)
+        c = TINY
+        cache = KvCache.empty(c.n_layers, c.n_heads, c.head_dim)
+        for a, z in [(0, 300), (300, 512), (512, 513), (513, 1100)]:
+            logits = tiny_model.extend_cache(cache, seq[a:z])
+        n = ref.logical_len
+        assert cache.logical_len == n
+        np.testing.assert_allclose(cache.keys[:, :n], ref.keys[:, :n], atol=1e-5)
+        np.testing.assert_allclose(cache.values[:, :n], ref.values[:, :n], atol=1e-5)
+        np.testing.assert_allclose(logits[-1], ref_logits, atol=1e-5)
+        for p in (511, 512, 513):
+            step_cache, _ = tiny_model.encode(seq[:p])
+            _, want = tiny_model.encode(seq[:p + 1])
+            np.testing.assert_allclose(tiny_model.decode_step(step_cache, seq[p]),
+                                       want, atol=1e-5)
+
+
 class TestDecodeStep:
     def test_matches_batch_last_position(self, tiny_model, rng):
         seq = seqs(rng, 12)
