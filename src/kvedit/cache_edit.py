@@ -153,8 +153,7 @@ def _splice_update(model: ToyDecoder, pre_cache: KvCache, pre_seq,
     script.validate(len(pre_seq))
     c = model.config
     n = len(pre_seq)
-    post = KvCache.empty(c.n_layers, c.n_heads, c.head_dim,
-                         capacity=max(n + script.net_delta, 1))
+    post = KvCache.empty(c.n_layers, c.n_heads, c.head_dim, n + script.net_delta)
     recomputed = 0
     rotated = 0
     retained = 0

@@ -52,6 +52,8 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.strategies, str):
+            raise ConfigError(f"strategies must be a list of names, got {self.strategies!r}")
         self.strategies = tuple(self.strategies)
         self.context_lens = tuple(self.context_lens)
         check_int(ConfigError, "trials", self.trials, 1)
@@ -69,8 +71,8 @@ def _check_run_inputs(strategies, n_generate: int, comment_prefix: str) -> None:
     if bad:
         raise ConfigError(f"unknown strategy {bad[0]!r}; expected one of {tuple(STRATEGIES)}")
     check_int(ConfigError, "n_generate", n_generate, 1)
-    if not comment_prefix:
-        raise ConfigError("comment_prefix must be non-empty")
+    if not (isinstance(comment_prefix, str) and comment_prefix):
+        raise ConfigError(f"comment_prefix must be a non-empty string, got {comment_prefix!r}")
 
 
 def suffix_span(script: EditScript, post_len: int) -> tuple[int, int] | None:

@@ -5,6 +5,13 @@ with a shared logical length; position p of the post-edit sequence lives at
 row p, always contiguous 0..logical_len-1. Keys are stored post-rotation
 (position baked in), values unrotated.
 
+Every cache is built by `KvCache.empty(..., rows)`, which allocates the
+`rows` it is about to fill plus HEADROOM spare rows, one attention slab.
+So a cache returned by `encode`, by any update strategy or by `copy()`
+takes HEADROOM `decode_step`s before it must grow. Rows at or past
+logical_len are uninitialised (`np.empty`): every reader slices to
+logical_len or to an explicit `upto`, and nothing may read past it.
+
 `positionally_consistent` is True when no stale row was retained: every
 stored key's rotation matches its row index. False means a stale row may
 remain. Conflict-fast splicing clears it when it leaves shifted rows
@@ -21,6 +28,7 @@ import numpy as np
 from .errors import CacheError
 
 F32 = np.float32
+HEADROOM = 512  # spare rows every new cache gets: one attention slab of decode steps
 
 
 class KvCache:
@@ -32,9 +40,10 @@ class KvCache:
         self.positionally_consistent = positionally_consistent
 
     @classmethod
-    def empty(cls, n_layers: int, n_heads: int, head_dim: int, capacity: int = 64) -> "KvCache":
-        shape = (n_layers, max(capacity, 1), n_heads, head_dim)
-        return cls(np.zeros(shape, dtype=F32), np.zeros(shape, dtype=F32), 0)
+    def empty(cls, n_layers: int, n_heads: int, head_dim: int, rows: int = 0) -> "KvCache":
+        """A zero-length cache with room for `rows` rows plus HEADROOM."""
+        shape = (n_layers, rows + HEADROOM, n_heads, head_dim)
+        return cls(np.empty(shape, dtype=F32), np.empty(shape, dtype=F32), 0)
 
     # -- shape/introspection ------------------------------------------------
 
@@ -57,9 +66,12 @@ class KvCache:
             raise CacheError(f"cache shape {got} does not match model (L, H, head_dim) {want}")
 
     def copy(self) -> "KvCache":
-        out = KvCache(self.keys[:, :self.logical_len].copy(),
-                      self.values[:, :self.logical_len].copy(),
-                      self.logical_len, self.positionally_consistent)
+        n = self.logical_len
+        out = KvCache.empty(self.n_layers, self.n_heads, self.head_dim, n)
+        out.keys[:, :n] = self.keys[:, :n]
+        out.values[:, :n] = self.values[:, :n]
+        out.logical_len = n
+        out.positionally_consistent = self.positionally_consistent
         return out
 
     # -- views --------------------------------------------------------------
@@ -79,15 +91,24 @@ class KvCache:
     # -- mutation -----------------------------------------------------------
 
     def _ensure_capacity(self, needed: int) -> None:
+        """Make room for `needed` rows, doubling capacity until it fits.
+
+        The new arrays are `np.empty`; only the live rows [:, :logical_len]
+        are copied across, so growth costs one copy of what is stored, not
+        of the whole capacity, and writes no zeros.
+        """
         cap = self.keys.shape[1]
         if needed <= cap:
             return
         while cap < needed:
             cap *= 2
-        grow = lambda a: np.concatenate(
-            [a, np.zeros((a.shape[0], cap - a.shape[1]) + a.shape[2:], dtype=F32)], axis=1)
-        self.keys = grow(self.keys)
-        self.values = grow(self.values)
+        n = self.logical_len
+
+        def grow(a):
+            out = np.empty((a.shape[0], cap) + a.shape[2:], dtype=F32)
+            out[:, :n] = a[:, :n]
+            return out
+        self.keys, self.values = grow(self.keys), grow(self.values)
 
     def reserve(self, n: int) -> int:
         """Reserve n rows for a block encode; returns the start row.

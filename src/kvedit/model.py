@@ -15,7 +15,9 @@ the last position itself - without touching the cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -46,6 +48,9 @@ class ModelConfig:
         for name in ("n_layers", "n_heads", "head_dim", "hidden_dim", "mlp_dim", "vocab_size"):
             check_int(ConfigError, name, getattr(self, name), 1)
         check_int(ConfigError, "seed", self.seed, 0)
+        b = self.rope_base
+        if isinstance(b, bool) or not isinstance(b, Real) or not (math.isfinite(b) and b > 0):
+            raise ConfigError(f"rope_base must be a finite number > 0, got {b!r}")
         if self.head_dim % 2 != 0:
             raise ConfigError(f"head_dim must be even, got {self.head_dim}")
         if self.hidden_dim != self.n_heads * self.head_dim:
@@ -178,7 +183,7 @@ class ToyDecoder:
         """
         tokens = self._check_tokens(tokens)
         c = self.config
-        cache = KvCache.empty(c.n_layers, c.n_heads, c.head_dim, capacity=len(tokens))
+        cache = KvCache.empty(c.n_layers, c.n_heads, c.head_dim, len(tokens))
         return cache, self._block_forward(cache, tokens)[-1]
 
     def extend_cache(self, cache: KvCache, tokens) -> np.ndarray:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from kvedit import (CacheError, EditOp, EditScript, ScriptError, apply_edit_tokens,
-                    dump_script_jsonl, kl_divergence, load_script_jsonl, random_script,
-                    update_conflict_fast, update_full_recompute, update_pie,
+from kvedit import (STRATEGIES, CacheError, EditOp, EditScript, ScriptError,
+                    apply_edit_tokens, dump_script_jsonl, kl_divergence, load_script_jsonl,
+                    random_script, update_conflict_fast, update_full_recompute, update_pie,
                     update_reuse)
+from kvedit.kv_cache import HEADROOM
 from tests.conftest import TINY
 
 
@@ -296,6 +297,56 @@ class TestPie:
         assert timing.recomputed_tokens == 0
         assert timing.rotated_keys == TINY.n_layers * 11
         assert post.logical_len == 15
+
+
+SPLICE = EditScript((EditOp(10, 14, (1, 2, 3, 4, 5, 6)),))
+
+
+def built_cache(model, rng, source):
+    """(cache, its tokens) as encode, copy() or one strategy's update returns it."""
+    seq = seqs(rng, 40)
+    cache, _ = model.encode(seq)
+    if source == "copy":
+        return cache.copy(), seq
+    if source in STRATEGIES:
+        post, _ = STRATEGIES[source](model, cache, seq, SPLICE)
+        return post, (seq if source == "reuse" else apply_edit_tokens(seq, SPLICE))
+    return cache, seq
+
+
+def spare_filled(cache, value):
+    """A copy of cache whose rows at and past logical_len hold `value`."""
+    out = cache.copy()
+    out.keys[:, out.logical_len:] = value
+    out.values[:, out.logical_len:] = value
+    return out
+
+
+class TestHeadroom:
+    @pytest.mark.parametrize("source", ["encode", "copy", *STRATEGIES])
+    def test_headroom_decode_steps_then_growth(self, tiny_model, rng, source):
+        cache, seq = built_cache(tiny_model, rng, source)
+        keys, values = cache.keys, cache.values
+        tiny_model.generate_greedy(cache, seq[-1], HEADROOM)  # HEADROOM decode steps
+        assert cache.keys is keys and cache.values is values
+        live_k, live_v = (a.copy() for a in cache_arrays(cache))
+        n = cache.logical_len
+        tiny_model.decode_step(cache, 1)
+        assert cache.keys is not keys and cache.values is not values
+        assert np.array_equal(cache.keys[:, :n], live_k)
+        assert np.array_equal(cache.values[:, :n], live_v)
+
+    @pytest.mark.parametrize("source", ["encode", "pie"])
+    def test_spare_rows_are_never_read(self, tiny_model, rng, source):
+        cache, seq = built_cache(tiny_model, rng, source)
+        zero, nan = spare_filled(cache, 0.0), spare_filled(cache, np.nan)
+        assert np.array_equal(tiny_model.next_logits(zero, seq[-1]),
+                              tiny_model.next_logits(nan, seq[-1]))
+        for update in STRATEGIES.values():
+            assert caches_equal(update(tiny_model, zero, seq, SPLICE)[0],
+                                update(tiny_model, nan, seq, SPLICE)[0])
+        assert np.array_equal(tiny_model.decode_step(zero, 7), tiny_model.decode_step(nan, 7))
+        assert caches_equal(zero, nan)
 
 
 class TestScriptFiles:

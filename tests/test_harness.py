@@ -177,7 +177,8 @@ class TestCli:
     def _write_cfg(self, tmp_path, **fields):
         cfg = {"model": {"n_layers": 2, "n_heads": 2, "head_dim": 8, "hidden_dim": 16,
                          "mlp_dim": 32, "vocab_size": 280, "seed": 3},
-               "context_lens": [160], "trials": 1, "n_generate": 3, **fields}
+               "strategies": ["pie"], "context_lens": [160], "trials": 1, "n_generate": 3,
+               **fields}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         return str(path)
@@ -237,16 +238,22 @@ class TestCli:
         ("bench", [], {"scenario": {"rng_seed": -3}}, "rng_seed"),
         ("bench", [], {"model": {"n_layers": 1.5}}, "n_layers"),
         ("bench", [], {"trials": True}, "trials"),
+        ("bench", [], {"model": {"rope_base": "x"}}, "rope_base"),
+        ("bench", [], {"model": {"rope_base": -5}}, "rope_base"),
+        ("bench", [], {"model": {"rope_base": True}}, "rope_base"),
+        ("bench", [], {"comment_prefix": 5}, "comment_prefix"),
+        ("bench", [], {"strategies": "pie"}, "strategies"),
     ], ids=["bench_n_generate_0", "bench_context_len_0", "bench_unknown_config_key",
             "bench_multi_place_one_site", "simulate_n_generate_0",
             "simulate_empty_comment_prefix", "bench_negative_seed", "bench_float_seed",
-            "bench_negative_rng_seed", "bench_float_n_layers", "bench_bool_trials"])
+            "bench_negative_rng_seed", "bench_float_n_layers", "bench_bool_trials",
+            "bench_str_rope_base", "bench_negative_rope_base", "bench_bool_rope_base",
+            "bench_int_comment_prefix", "bench_str_strategies"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command, flags,
                                          cfg_fields, field):
         if command == "bench":
             cfg = self._write_cfg(tmp_path, **cfg_fields)
-            argv = ["bench", "--config", cfg, "--strategy", "pie",
-                    "--out", str(tmp_path / "r.json"), *flags]
+            argv = ["bench", "--config", cfg, "--out", str(tmp_path / "r.json"), *flags]
         else:
             corpus_path = tmp_path / "ctx.py"
             corpus_path.write_text(tile_document(DEFAULT_CORPUS, 120))
